@@ -8,9 +8,19 @@
 //! the machine's disk, so a crashed replica that restarts on the same host
 //! finds its data again.  Anti-entropy runs on a dedicated *sync worker
 //! thread*, not the daemon's control thread: replicas synchronously query
-//! each other (digest pulls), and two control threads calling each other
-//! would deadlock — the worker keeps command service and synchronization
-//! independent, mirroring the paper's separation of command and data paths.
+//! each other, and two control threads calling each other would deadlock —
+//! the worker keeps command service and synchronization independent,
+//! mirroring the paper's separation of command and data paths.
+//!
+//! Anti-entropy is summary-first.  Every image keeps a [`Summary`]: 64
+//! buckets, chosen by a hash of `ns\0key`, each holding the XOR of the
+//! hashes of the `(ns, key, version, writer)` entries that fall in it,
+//! maintained incrementally as writes publish.  A sync round fetches each
+//! peer's summary (`psDigest summary=true`); a peer whose buckets all match
+//! is skipped, otherwise only the differing buckets' digest rows are
+//! fetched (`psDigest buckets={…}`) and newer versions pulled with
+//! `psGet`.  Converged replicas thus exchange one small reply per peer per
+//! round instead of the whole keyspace's digest.
 
 use crate::client::StoreError;
 use crate::placement::StorePlacement;
@@ -18,6 +28,7 @@ use crate::version::{StoreKey, Versioned};
 use crate::wal::{RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 use ace_core::prelude::*;
 use ace_core::protocol::{hex_decode, hex_encode};
+use ace_security::hash::Fnv64Stream;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,6 +60,121 @@ impl TailRing {
     }
 }
 
+/// One digest row: `(ns, key, version, writer)`.
+pub type DigestRow = (String, String, u64, String);
+
+/// Buckets in a replica's anti-entropy [`Summary`].
+pub const SUMMARY_BUCKETS: usize = 64;
+
+/// Seed of the summary's key and entry hashes.
+const SUMMARY_SEED: u64 = 0x6a09_e667_f3bc_c908;
+
+/// The hash stream after absorbing `ns\0key\0`: finishing it picks the
+/// key's bucket, continuing it with the version and writer hashes the
+/// entry, so both cost one pass over the key bytes.
+fn key_stream(ns: &str, key: &str) -> Fnv64Stream {
+    let mut h = Fnv64Stream::keyed(SUMMARY_SEED);
+    h.update(ns.as_bytes());
+    h.update(&[0]);
+    h.update(key.as_bytes());
+    h.update(&[0]);
+    h
+}
+
+fn bucket_from(prefix: Fnv64Stream) -> usize {
+    (prefix.finish() % SUMMARY_BUCKETS as u64) as usize
+}
+
+fn entry_hash(mut prefix: Fnv64Stream, version: u64, writer: &str) -> u64 {
+    prefix.update(&version.to_le_bytes());
+    prefix.update(writer.as_bytes());
+    prefix.finish()
+}
+
+/// The summary bucket a key falls in.
+pub fn bucket_of(ns: &str, key: &str) -> usize {
+    bucket_from(key_stream(ns, key))
+}
+
+/// Per-bucket XOR of the hashes of every `(ns, key, version, writer)` an
+/// image holds.  Two images with equal digests have equal summaries; two
+/// whose digests differ in any bucket's rows differ in that bucket's sum,
+/// except with probability 2⁻⁶⁴ per bucket compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Summary([u64; SUMMARY_BUCKETS]);
+
+impl Default for Summary {
+    fn default() -> Summary {
+        Summary([0; SUMMARY_BUCKETS])
+    }
+}
+
+impl Summary {
+    /// Summary of a whole map, computed from scratch.
+    fn of(map: &HashMap<StoreKey, Versioned>) -> Summary {
+        let mut summary = Summary::default();
+        for ((ns, key), v) in map {
+            let prefix = key_stream(ns, key);
+            summary.0[bucket_from(prefix)] ^= entry_hash(prefix, v.version, &v.writer);
+        }
+        summary
+    }
+
+    /// Indices of the buckets whose sums differ from `other`'s.
+    pub fn differing(&self, other: &Summary) -> Vec<usize> {
+        (0..SUMMARY_BUCKETS)
+            .filter(|&b| self.0[b] != other.0[b])
+            .collect()
+    }
+
+    /// Wire form: a vector of the 64 sums, each bit-cast to `i64`.
+    pub fn to_value(&self) -> Value {
+        Value::Vector(self.0.iter().map(|&s| Scalar::Int(s as i64)).collect())
+    }
+
+    /// Strict parse of [`Summary::to_value`]; `None` unless exactly 64
+    /// integers.
+    pub fn from_value(value: &Value) -> Option<Summary> {
+        let sums = value.as_vector()?;
+        if sums.len() != SUMMARY_BUCKETS {
+            return None;
+        }
+        let mut summary = Summary::default();
+        for (slot, sum) in summary.0.iter_mut().zip(sums) {
+            let Scalar::Int(sum) = sum else { return None };
+            *slot = *sum as u64;
+        }
+        Some(summary)
+    }
+}
+
+/// What the image's map lock guards: the entries and their summary, kept
+/// in step by [`Image::insert`].
+#[derive(Debug, Default)]
+struct Image {
+    entries: HashMap<StoreKey, Versioned>,
+    summary: Summary,
+}
+
+impl Image {
+    fn new(entries: HashMap<StoreKey, Versioned>) -> Image {
+        let summary = Summary::of(&entries);
+        Image { entries, summary }
+    }
+
+    /// Store `value` under `key` unconditionally (callers check `beats`
+    /// first): XOR the replaced entry's hash out of its bucket, the new
+    /// one's in.
+    fn insert(&mut self, key: StoreKey, value: Versioned) {
+        let prefix = key_stream(&key.0, &key.1);
+        let mut delta = entry_hash(prefix, value.version, &value.writer);
+        if let Some(old) = self.entries.insert(key, value) {
+            delta ^= entry_hash(prefix, old.version, &old.writer);
+        }
+        self.summary.0[bucket_from(prefix)] ^= delta;
+    }
+}
+
 /// The disk of one replica: survives daemon crash/restart.  A volatile
 /// image ([`DiskImage::new`]) survives by being handed to the respawned
 /// daemon; a durable one ([`DiskImage::open`]) additionally recovers from
@@ -61,7 +187,7 @@ impl TailRing {
 /// writers share fsyncs instead of serialising on the image.
 #[derive(Debug, Clone, Default)]
 pub struct DiskImage {
-    map: Arc<Mutex<HashMap<StoreKey, Versioned>>>,
+    map: Arc<Mutex<Image>>,
     /// `None` for a volatile image (unit tests, benchmarks); durable
     /// images log every applied write here *before* it becomes visible.
     wal: Option<Arc<Wal>>,
@@ -93,7 +219,7 @@ impl DiskImage {
         let (wal, map, report) = Wal::open(handle, config)?;
         Ok((
             DiskImage {
-                map: Arc::new(Mutex::new(map)),
+                map: Arc::new(Mutex::new(Image::new(map))),
                 wal: Some(Arc::new(wal)),
                 in_flight: Arc::new(AtomicU64::new(0)),
                 tail: Arc::new(Mutex::new(TailRing::default())),
@@ -131,7 +257,7 @@ impl DiskImage {
         // the map lock after logging.
         {
             let map = self.map.lock();
-            if let Some(existing) = map.get(&key) {
+            if let Some(existing) = map.entries.get(&key) {
                 if !value.beats(existing) {
                     return Ok(false);
                 }
@@ -148,7 +274,7 @@ impl DiskImage {
             }
         }
         let mut map = self.map.lock();
-        let applied = match map.get(&key) {
+        let applied = match map.entries.get(&key) {
             Some(existing) if !value.beats(existing) => false,
             _ => {
                 self.tail.lock().push(key.clone(), value.clone());
@@ -158,7 +284,7 @@ impl DiskImage {
         };
         if let Some(wal) = &self.wal {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            wal.maybe_compact_when(&map, || self.in_flight.load(Ordering::SeqCst) == 0);
+            wal.maybe_compact_when(&map.entries, || self.in_flight.load(Ordering::SeqCst) == 0);
         }
         Ok(applied)
     }
@@ -173,7 +299,7 @@ impl DiskImage {
             let map = self.map.lock();
             entries
                 .into_iter()
-                .filter(|(key, value)| match map.get(key) {
+                .filter(|(key, value)| match map.entries.get(key) {
                     Some(existing) => value.beats(existing),
                     None => true,
                 })
@@ -192,7 +318,7 @@ impl DiskImage {
         let mut map = self.map.lock();
         let mut applied = 0;
         for (key, value) in fresh {
-            match map.get(&key) {
+            match map.entries.get(&key) {
                 Some(existing) if !value.beats(existing) => {}
                 _ => {
                     self.tail.lock().push(key.clone(), value.clone());
@@ -203,14 +329,23 @@ impl DiskImage {
         }
         if let Some(wal) = &self.wal {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            wal.maybe_compact_when(&map, || self.in_flight.load(Ordering::SeqCst) == 0);
+            wal.maybe_compact_when(&map.entries, || self.in_flight.load(Ordering::SeqCst) == 0);
         }
         Ok(applied)
     }
 
     /// Read a key (tombstones included).
     pub fn get(&self, key: &StoreKey) -> Option<Versioned> {
-        self.map.lock().get(key).cloned()
+        self.map.lock().entries.get(key).cloned()
+    }
+
+    /// A key's `(version, writer)` without cloning its value.
+    pub fn version_of(&self, key: &StoreKey) -> Option<(u64, String)> {
+        self.map
+            .lock()
+            .entries
+            .get(key)
+            .map(|v| (v.version, v.writer.clone()))
     }
 
     /// Live (non-tombstone) keys in a namespace, sorted.
@@ -218,6 +353,7 @@ impl DiskImage {
         let mut keys: Vec<String> = self
             .map
             .lock()
+            .entries
             .iter()
             .filter(|((n, _), v)| n == ns && !v.deleted)
             .map(|((_, k), _)| k.clone())
@@ -226,26 +362,55 @@ impl DiskImage {
         keys
     }
 
-    /// Digest of everything held: `(ns, key, version, writer)`.
-    pub fn digest(&self) -> Vec<(String, String, u64, String)> {
+    /// Digest of everything held, sorted.
+    pub fn digest(&self) -> Vec<DigestRow> {
+        self.rows_where(|_| true)
+    }
+
+    /// Digest rows of the keys in the given summary buckets, sorted.
+    /// Indices past [`SUMMARY_BUCKETS`] select nothing.
+    pub fn digest_buckets(&self, buckets: &[usize]) -> Vec<DigestRow> {
+        let mut wanted = [false; SUMMARY_BUCKETS];
+        for &b in buckets {
+            if let Some(w) = wanted.get_mut(b) {
+                *w = true;
+            }
+        }
+        self.rows_where(|(ns, key)| wanted[bucket_of(ns, key)])
+    }
+
+    fn rows_where(&self, keep: impl Fn(&StoreKey) -> bool) -> Vec<DigestRow> {
         let mut out: Vec<_> = self
             .map
             .lock()
+            .entries
             .iter()
+            .filter(|(key, _)| keep(key))
             .map(|((ns, k), v)| (ns.clone(), k.clone(), v.version, v.writer.clone()))
             .collect();
         out.sort();
         out
     }
 
+    /// The incrementally kept anti-entropy summary.
+    pub fn summary(&self) -> Summary {
+        self.map.lock().summary
+    }
+
+    /// The summary recomputed from scratch over the current entries — an
+    /// audit of the incrementally kept [`DiskImage::summary`].
+    pub fn recomputed_summary(&self) -> Summary {
+        Summary::of(&self.map.lock().entries)
+    }
+
     /// Number of entries (including tombstones).
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.map.lock().entries.len()
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty()
+        self.map.lock().entries.is_empty()
     }
 
     /// WAL counters (`None` for a volatile image).
@@ -260,7 +425,7 @@ impl DiskImage {
     pub fn snapshot_cut(&self) -> (u64, Vec<u8>) {
         let map = self.map.lock();
         let seq = self.tail.lock().next_seq;
-        (seq, crate::wal::encode_snapshot(seq, &map))
+        (seq, crate::wal::encode_snapshot(seq, &map.entries))
     }
 
     /// Applied writes with sequence number `>= since`, capped at `max`,
@@ -300,7 +465,7 @@ impl DiskImage {
         let mut map = self.map.lock();
         let mut applied = 0;
         for (key, value) in entries {
-            match map.get(&key) {
+            match map.entries.get(&key) {
                 Some(existing) if !value.beats(existing) => {}
                 _ => {
                     map.insert(key, value);
@@ -309,25 +474,20 @@ impl DiskImage {
             }
         }
         if let Some(wal) = &self.wal {
-            wal.install_snapshot(&map)?;
+            wal.install_snapshot(&map.entries)?;
         }
         Ok(applied)
     }
 
-    /// Checksum over the full digest — equal checksums mean replicas have
-    /// converged.
+    /// Checksum folded from the summary's bucket sums — equal checksums
+    /// mean replicas have converged.
     pub fn checksum(&self) -> u64 {
-        let mut material = Vec::new();
-        for (ns, k, version, writer) in self.digest() {
-            material.extend_from_slice(ns.as_bytes());
-            material.push(0);
-            material.extend_from_slice(k.as_bytes());
-            material.push(0);
-            material.extend_from_slice(&version.to_le_bytes());
-            material.extend_from_slice(writer.as_bytes());
-            material.push(0);
+        let summary = self.summary();
+        let mut h = Fnv64Stream::keyed(SUMMARY_SEED);
+        for sum in summary.0 {
+            h.update(&sum.to_le_bytes());
         }
-        ace_security::hash::fnv64(&material)
+        h.finish()
     }
 }
 
@@ -336,6 +496,10 @@ impl DiskImage {
 struct SyncStats {
     syncs: AtomicU64,
     pulled: AtomicU64,
+    /// Peers skipped in a round because their summary matched ours.
+    sync_skipped: AtomicU64,
+    /// Digest rows fetched from peers' differing buckets.
+    digest_rows: AtomicU64,
     /// Pulled values the local disk refused (WAL append failed): the
     /// entry stays missing locally and a later round retries it.
     pull_errors: AtomicU64,
@@ -415,7 +579,8 @@ impl StoreReplica {
 
 /// One anti-entropy round from the worker thread: pull newer versions
 /// from every peer replica — either the fixed shard-group list, or every
-/// `PersistentStore` found in the ASD.
+/// `PersistentStore` found in the ASD.  Per peer, summaries are compared
+/// first; only the differing buckets' digest rows cross the wire.
 #[allow(clippy::too_many_arguments)]
 fn sync_round(
     net: &SimNet,
@@ -482,18 +647,40 @@ fn sync_round(
                 .collect()
         }
     };
+    let summary_cmd = CmdLine::new("psDigest").arg("summary", true);
     for peer_addr in peer_addrs {
-        let Some(reply) = call(clients, &peer_addr, &CmdLine::new("psDigest")) else {
+        let Some(reply) = call(clients, &peer_addr, &summary_cmd) else {
             continue; // peer down: catch up later
+        };
+        let Some(remote) = reply.get("sums").and_then(Summary::from_value) else {
+            continue;
+        };
+        let differing = disk.summary().differing(&remote);
+        if differing.is_empty() {
+            stats.sync_skipped.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        let buckets = differing.iter().map(|&b| Scalar::Int(b as i64)).collect();
+        let Some(reply) = call(
+            clients,
+            &peer_addr,
+            &CmdLine::new("psDigest").arg("buckets", Value::Vector(buckets)),
+        ) else {
+            continue;
         };
         let Some(rows) = digest_from_reply(&reply) else {
             continue;
         };
+        stats
+            .digest_rows
+            .fetch_add(rows.len() as u64, Ordering::Relaxed);
         for (ns, key, version, writer) in rows {
             let key_pair = (ns.clone(), key.clone());
-            let newer_remote = match disk.get(&key_pair) {
+            let newer_remote = match disk.version_of(&key_pair) {
                 None => true,
-                Some(local) => (version, writer.as_str()) > (local.version, local.writer.as_str()),
+                Some((local_version, local_writer)) => {
+                    (version, writer.as_str()) > (local_version, local_writer.as_str())
+                }
             };
             if !newer_remote {
                 continue;
@@ -534,7 +721,7 @@ pub(crate) fn versioned_from_reply(reply: &CmdLine) -> Option<Versioned> {
     })
 }
 
-pub(crate) fn digest_from_reply(reply: &CmdLine) -> Option<Vec<(String, String, u64, String)>> {
+pub(crate) fn digest_from_reply(reply: &CmdLine) -> Option<Vec<DigestRow>> {
     let rows = match reply.get("entries")? {
         v if v.as_vector().is_some_and(|s| s.is_empty()) => return Some(Vec::new()),
         v => v.as_array()?,
@@ -553,6 +740,49 @@ pub(crate) fn digest_from_reply(reply: &CmdLine) -> Option<Vec<(String, String, 
         ));
     }
     Some(out)
+}
+
+/// What a `psDigest` asks for.
+enum DigestQuery {
+    /// Every row (bare `psDigest`).
+    Full,
+    /// The 64 bucket sums (`summary=true`).
+    Summary,
+    /// The rows in these buckets (`buckets={…}`).
+    Buckets(Vec<usize>),
+}
+
+/// Strict parse of `psDigest`'s optional arguments.
+fn digest_query(cmd: &CmdLine) -> Result<DigestQuery, &'static str> {
+    let summary = match cmd.get("summary") {
+        None => false,
+        Some(_) => cmd
+            .get_bool("summary")
+            .ok_or("summary must be true or false")?,
+    };
+    let buckets = match cmd.get("buckets") {
+        None => None,
+        Some(v) => Some(bucket_list(v).ok_or("buckets must be integers in 0..63")?),
+    };
+    match (summary, buckets) {
+        (true, Some(_)) => Err("summary and buckets are exclusive"),
+        (true, None) => Ok(DigestQuery::Summary),
+        (false, Some(buckets)) => Ok(DigestQuery::Buckets(buckets)),
+        (false, None) => Ok(DigestQuery::Full),
+    }
+}
+
+/// Strict parse of a `buckets={…}` argument: every index an integer in
+/// `0..SUMMARY_BUCKETS`.
+fn bucket_list(value: &Value) -> Option<Vec<usize>> {
+    value
+        .as_vector()?
+        .iter()
+        .map(|b| match b {
+            Scalar::Int(i) => usize::try_from(*i).ok().filter(|&i| i < SUMMARY_BUCKETS),
+            _ => None,
+        })
+        .collect()
 }
 
 impl ServiceBehavior for StoreReplica {
@@ -598,10 +828,19 @@ impl ServiceBehavior for StoreReplica {
                 ArgType::Word,
                 "namespace",
             ))
-            .with(CmdSpec::new(
-                "psDigest",
-                "full (ns,key,version,writer) digest",
-            ))
+            .with(
+                CmdSpec::new("psDigest", "full (ns,key,version,writer) digest")
+                    .optional(
+                        "summary",
+                        ArgType::Word,
+                        "true for the 64 bucket sums instead of rows",
+                    )
+                    .optional(
+                        "buckets",
+                        ArgType::Vector(ace_lang::ScalarType::Int),
+                        "only the rows in these summary buckets (0..63)",
+                    ),
+            )
             .with(CmdSpec::new("psSync", "nudge the sync worker to run now"))
             .with(CmdSpec::new("psStats", "replica counters"))
     }
@@ -949,9 +1188,15 @@ impl ServiceBehavior for StoreReplica {
                 })
             }
             "psDigest" => {
-                let rows: Vec<Vec<Scalar>> = self
-                    .disk
-                    .digest()
+                let rows = match digest_query(cmd) {
+                    Err(why) => return Reply::err(ErrorCode::Semantics, why),
+                    Ok(DigestQuery::Summary) => {
+                        return Reply::ok_with(|c| c.arg("sums", self.disk.summary().to_value()))
+                    }
+                    Ok(DigestQuery::Buckets(buckets)) => self.disk.digest_buckets(&buckets),
+                    Ok(DigestQuery::Full) => self.disk.digest(),
+                };
+                let rows: Vec<Vec<Scalar>> = rows
                     .into_iter()
                     .map(|(ns, k, version, writer)| {
                         vec![
@@ -979,6 +1224,14 @@ impl ServiceBehavior for StoreReplica {
                     c.arg("entries", self.disk.len() as i64)
                         .arg("syncs", self.stats.syncs.load(Ordering::Relaxed) as i64)
                         .arg("pulled", self.stats.pulled.load(Ordering::Relaxed) as i64)
+                        .arg(
+                            "syncSkipped",
+                            self.stats.sync_skipped.load(Ordering::Relaxed) as i64,
+                        )
+                        .arg(
+                            "digestRows",
+                            self.stats.digest_rows.load(Ordering::Relaxed) as i64,
+                        )
                         .arg(
                             "pullErrors",
                             self.stats.pull_errors.load(Ordering::Relaxed) as i64,
@@ -1015,6 +1268,8 @@ impl ServiceBehavior for StoreReplica {
         gauge("entries").set(self.disk.len() as i64);
         gauge("syncs").set(self.stats.syncs.load(Ordering::Relaxed) as i64);
         gauge("pulled").set(self.stats.pulled.load(Ordering::Relaxed) as i64);
+        gauge("syncSkipped").set(self.stats.sync_skipped.load(Ordering::Relaxed) as i64);
+        gauge("digestRows").set(self.stats.digest_rows.load(Ordering::Relaxed) as i64);
         gauge("pullErrors").set(self.stats.pull_errors.load(Ordering::Relaxed) as i64);
         gauge("leasedGets").set(self.leased_gets as i64);
         if let Some(wal) = self.disk.wal_stats() {
@@ -1151,5 +1406,68 @@ mod tests {
             disk3.is_empty(),
             "reset image starts empty for anti-entropy"
         );
+    }
+
+    fn versioned(version: u64, writer: &str) -> Versioned {
+        Versioned {
+            data: vec![0xAB; 256],
+            version,
+            writer: writer.into(),
+            deleted: false,
+        }
+    }
+
+    #[test]
+    fn summary_follows_overwrites_and_isolates_buckets() {
+        let disk = DiskImage::new();
+        assert_eq!(disk.summary(), Summary::default());
+        for i in 0..200 {
+            disk.apply(("ns".into(), format!("k{i}")), versioned(1, "a"))
+                .unwrap();
+        }
+        assert_eq!(disk.summary(), disk.recomputed_summary());
+        let before = disk.summary();
+        let key: StoreKey = ("ns".into(), "k7".into());
+        disk.apply(key.clone(), versioned(2, "a")).unwrap();
+        assert_eq!(disk.summary(), disk.recomputed_summary());
+        assert_eq!(
+            disk.summary().differing(&before),
+            vec![bucket_of("ns", "k7")],
+            "an overwrite moves exactly its own bucket"
+        );
+        // The version-only accessor agrees with the full read.
+        assert_eq!(disk.version_of(&key), Some((2, "a".to_string())));
+        assert_eq!(disk.version_of(&("ns".into(), "absent".into())), None);
+        // Bucket rows partition the full digest.
+        let all: Vec<usize> = (0..SUMMARY_BUCKETS).collect();
+        assert_eq!(disk.digest_buckets(&all), disk.digest());
+        let one = disk.digest_buckets(&[bucket_of("ns", "k7")]);
+        assert!(one
+            .iter()
+            .all(|(ns, k, _, _)| bucket_of(ns, k) == bucket_of("ns", "k7")));
+        assert!(one.iter().any(|(_, k, v, _)| k == "k7" && *v == 2));
+        assert!(disk.digest_buckets(&[SUMMARY_BUCKETS]).is_empty());
+    }
+
+    #[test]
+    fn summary_wire_form_roundtrips_and_rejects_malformed() {
+        let disk = DiskImage::new();
+        for i in 0..50 {
+            disk.apply(("ns".into(), format!("k{i}")), versioned(i, "w"))
+                .unwrap();
+        }
+        let summary = disk.summary();
+        let wire = CmdLine::new("ok").arg("sums", summary.to_value()).to_wire();
+        let parsed = ace_lang::parse(&wire).unwrap();
+        assert_eq!(
+            Summary::from_value(parsed.get("sums").unwrap()),
+            Some(summary)
+        );
+        let short = Value::Vector(vec![Scalar::Int(0); SUMMARY_BUCKETS - 1]);
+        assert_eq!(Summary::from_value(&short), None);
+        let mut words = vec![Scalar::Int(0); SUMMARY_BUCKETS];
+        words[3] = Scalar::Word("x".into());
+        assert_eq!(Summary::from_value(&Value::Vector(words)), None);
+        assert_eq!(Summary::from_value(&Value::Int(1)), None);
     }
 }

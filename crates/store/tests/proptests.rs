@@ -189,6 +189,122 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Anti-entropy summary properties
+// ---------------------------------------------------------------------------
+
+mod summary_props {
+    use super::*;
+    use ace_store::{MemStorage, StorageHandle, StoreKey, WalConfig, SUMMARY_BUCKETS};
+
+    fn entry_strategy() -> impl Strategy<Value = (StoreKey, Versioned)> {
+        (0u8..2, 0u8..24, 1u64..16, 0u8..4, any::<bool>()).prop_map(
+            |(ns, key, version, writer, deleted)| {
+                (
+                    (format!("ns{ns}"), format!("k{key}")),
+                    Versioned {
+                        data: format!("v{version}w{writer}").into_bytes(),
+                        version,
+                        writer: format!("w{writer}"),
+                        deleted,
+                    },
+                )
+            },
+        )
+    }
+
+    /// One mutation of a durable image.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Apply((StoreKey, Versioned)),
+        Batch(Vec<(StoreKey, Versioned)>),
+        Snapshot(Vec<(StoreKey, Versioned)>),
+        /// Drop the image, cut `tear` bytes off the log tail (0 = a clean
+        /// restart), and reopen from snapshot + log.
+        Reopen {
+            tear: u8,
+        },
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        // Weighted by `pick`: half single applies, then batches,
+        // snapshot installs and reopens.
+        (
+            0u8..8,
+            prop::collection::vec(entry_strategy(), 1..6),
+            any::<u8>(),
+        )
+            .prop_map(|(pick, mut entries, tear)| match pick {
+                0..=3 => Step::Apply(entries.remove(0)),
+                4 | 5 => Step::Batch(entries),
+                6 => Step::Snapshot(entries),
+                _ => Step::Reopen { tear },
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After any interleaving of `apply`, `apply_batch`,
+        /// `install_snapshot` and WAL reopen (torn tail included), the
+        /// incrementally kept summary equals one recomputed from the map.
+        #[test]
+        fn summary_tracks_every_mutation(steps in prop::collection::vec(step_strategy(), 1..40)) {
+            let storage = MemStorage::new();
+            let handle = StorageHandle::Memory(storage.clone());
+            // A small threshold so compaction (snapshot + truncate) runs
+            // inside the sequence too.
+            let config = WalConfig { compact_threshold: 1024, ..WalConfig::default() };
+            let (mut disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
+            for step in steps {
+                match step {
+                    Step::Apply((key, value)) => {
+                        disk.apply(key, value).unwrap();
+                    }
+                    Step::Batch(entries) => {
+                        disk.apply_batch(entries).unwrap();
+                    }
+                    Step::Snapshot(entries) => {
+                        disk.install_snapshot(entries).unwrap();
+                    }
+                    Step::Reopen { tear } => {
+                        drop(disk);
+                        let log = storage.log_bytes();
+                        let cut = log.len() - (tear as usize).min(log.len());
+                        storage.set_log_bytes(log[..cut].to_vec());
+                        disk = DiskImage::open(&handle, config.clone()).unwrap().0;
+                    }
+                }
+                prop_assert_eq!(disk.summary(), disk.recomputed_summary());
+            }
+        }
+
+        /// Two images agree on a bucket's sum exactly when they hold the
+        /// same `(ns, key, version, writer)` rows in it: repair never
+        /// misses a difference the summary should have shown.
+        #[test]
+        fn buckets_differ_exactly_where_rows_differ(
+            ops in prop::collection::vec((entry_strategy(), 0usize..3), 0..48),
+        ) {
+            let (a, b) = (DiskImage::new(), DiskImage::new());
+            for ((key, value), target) in ops {
+                if target != 1 {
+                    a.apply(key.clone(), value.clone()).unwrap();
+                }
+                if target != 0 {
+                    b.apply(key, value).unwrap();
+                }
+            }
+            let differing = a.summary().differing(&b.summary());
+            for bucket in 0..SUMMARY_BUCKETS {
+                let rows_differ = a.digest_buckets(&[bucket]) != b.digest_buckets(&[bucket]);
+                prop_assert_eq!(differing.contains(&bucket), rows_differ);
+            }
+            prop_assert_eq!(a.digest() == b.digest(), a.checksum() == b.checksum());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // WAL record codec properties
 // ---------------------------------------------------------------------------
 

@@ -377,3 +377,73 @@ fn every_daemon_sheds_cleanly_when_saturated() {
         daemon.shutdown();
     }
 }
+
+/// `psDigest`'s summary-first arguments: a non-numeric or out-of-range
+/// bucket index, or a `summary` that is not `true`/`false`, is answered
+/// with `E_SEMANTICS` — by validation or by the handler — and never
+/// panics the replica; the well-formed forms keep working.
+#[test]
+fn store_digest_rejects_malformed_bucket_queries() {
+    let net = SimNet::new();
+    net.add_host("h");
+    let daemon = Daemon::spawn(
+        &net,
+        DaemonConfig::new("store1", "Service.Conformance", "room", "h", 4900),
+        Box::new(ace_store::StoreReplica::new(
+            ace_store::DiskImage::new(),
+            Duration::from_secs(3600),
+        )),
+    )
+    .unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let mut client = ServiceClient::connect(&net, &"h".into(), daemon.addr().clone(), &me).unwrap();
+
+    for wire in [
+        "psDigest buckets={x};",
+        "psDigest buckets={1.5};",
+        "psDigest buckets={\"3\"};",
+        "psDigest buckets=3;",
+        "psDigest buckets={64};",
+        "psDigest buckets={-1};",
+        "psDigest buckets={0,9223372036854775807};",
+        "psDigest buckets={-9223372036854775808};",
+        "psDigest summary=maybe;",
+        "psDigest summary=1;",
+        "psDigest summary={true};",
+        "psDigest summary=\"\";",
+        "psDigest summary=true buckets={1};",
+    ] {
+        let cmd = ace_lang::parse(wire).unwrap_or_else(|e| panic!("`{wire}` must lex: {e}"));
+        match client.call(&cmd) {
+            Err(ClientError::Service { code, msg }) => assert_eq!(
+                code,
+                ErrorCode::Semantics,
+                "`{wire}` answered {code}: {msg}"
+            ),
+            Ok(reply) => panic!("`{wire}` was accepted: {}", reply.to_wire()),
+            Err(e) => panic!("`{wire}` killed the link: {e}"),
+        }
+    }
+
+    for (wire, field) in [
+        ("psDigest summary=true;", "sums"),
+        ("psDigest summary=false;", "entries"),
+        ("psDigest buckets={0,63,63};", "entries"),
+        ("psDigest buckets={};", "entries"),
+        ("psDigest;", "entries"),
+    ] {
+        let reply = client
+            .call(&ace_lang::parse(wire).unwrap())
+            .unwrap_or_else(|e| panic!("`{wire}` failed: {e}"));
+        assert!(reply.get(field).is_some(), "`{wire}` lacks {field}");
+    }
+
+    let stats = client.call(&CmdLine::new("aceStats")).unwrap();
+    let report = StatsReport::from_cmdline(&stats);
+    assert_eq!(
+        report.counters.get("control.panics").copied().unwrap_or(0),
+        0,
+        "a psDigest handler panicked"
+    );
+    daemon.shutdown();
+}
