@@ -10,6 +10,7 @@ use ace_lang::{CmdLine, ErrorCode, Reply};
 use ace_net::{Addr, HostId, NetError, SimNet};
 use ace_security::keys::KeyPair;
 use std::fmt;
+use std::task::Waker;
 use std::time::Duration;
 
 /// Default per-call deadline.
@@ -135,21 +136,44 @@ impl ServiceClient {
     /// client's call timeout, so the server can shed the request once we
     /// have given up waiting for its reply.
     pub fn call(&mut self, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-        let stamped;
-        let cmd = if cmd.deadline_ms().is_none() {
-            let mut c = cmd.clone();
-            c.set_deadline_ms(self.timeout.as_millis() as i64);
-            stamped = c;
-            &stamped
-        } else {
-            cmd
-        };
-        self.link.send_cmd(cmd)?;
+        self.send(cmd)?;
         let reply_cmd = self.link.recv_cmd(self.timeout)?;
-        match Reply::from_cmdline(&reply_cmd) {
-            Reply::Ok(result) => Ok(result),
-            Reply::Err { code, msg } => Err(ClientError::Service { code, msg }),
+        reply_result(&reply_cmd)
+    }
+
+    /// The sending half of [`Self::call`]: stamp and send `cmd` without
+    /// waiting.  Replies come back in send order and are collected with
+    /// [`Self::try_recv`]; the caller owns the reply deadline
+    /// ([`Self::timeout`] after the send, as `call` would wait).
+    pub fn send(&mut self, cmd: &CmdLine) -> Result<(), ClientError> {
+        if cmd.deadline_ms().is_some() {
+            self.link.send_cmd(cmd)?;
+        } else {
+            let mut stamped = cmd.clone();
+            stamped.set_deadline_ms(self.timeout.as_millis() as i64);
+            self.link.send_cmd(&stamped)?;
         }
+        Ok(())
+    }
+
+    /// The receiving half of [`Self::call`], non-blocking: `Ok(None)` while
+    /// the next reply has not arrived, otherwise that reply exactly as
+    /// `call` would return it.
+    pub fn try_recv(&mut self) -> Result<Option<CmdLine>, ClientError> {
+        match self.link.try_recv_cmd()? {
+            Some(reply_cmd) => reply_result(&reply_cmd).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Have `waker` woken whenever a reply (or the link's close) arrives.
+    pub fn register_waker(&self, waker: &Waker) {
+        self.link.register_waker(waker);
+    }
+
+    /// The per-call deadline.
+    pub fn timeout(&self) -> Duration {
+        self.timeout
     }
 
     /// Issue a command, discarding a successful result (convenience for
@@ -161,6 +185,13 @@ impl ServiceClient {
     /// Close the link.
     pub fn close(&self) {
         self.link.close();
+    }
+}
+
+fn reply_result(reply_cmd: &CmdLine) -> Result<CmdLine, ClientError> {
+    match Reply::from_cmdline(reply_cmd) {
+        Reply::Ok(result) => Ok(result),
+        Reply::Err { code, msg } => Err(ClientError::Service { code, msg }),
     }
 }
 

@@ -324,7 +324,9 @@ impl Daemon {
 
         // Step 3: register with the ASD.  Registration rides out brief ASD
         // unavailability (e.g. an ASD restart mid-recovery) with a short
-        // bounded backoff before the spawn is declared failed.
+        // bounded backoff before the spawn is declared failed.  The
+        // registration link stays open as the lease link.
+        let mut asd_link = None;
         if let Some(asd) = &config.asd {
             retry_budget.note_call();
             let mut retry = RetryPolicy::new(Duration::from_millis(20))
@@ -334,9 +336,12 @@ impl Daemon {
                 .start();
             loop {
                 let result = ServiceClient::connect(net, &config.host, asd.clone(), &identity)
-                    .and_then(|mut client| client.call_ok(&register_cmd(&config)));
+                    .and_then(|mut client| client.call_ok(&register_cmd(&config)).map(|()| client));
                 match result {
-                    Ok(()) => break,
+                    Ok(client) => {
+                        asd_link = Some(client);
+                        break;
+                    }
                     Err(error) => {
                         if !retry.backoff() {
                             return Err(SpawnError::Register { step: "asd", error });
@@ -347,7 +352,9 @@ impl Daemon {
         }
 
         // Step 5: record the start with the Network Logger.  (Step 4 —
-        // notifications on the registration — happens inside the ASD.)
+        // notifications on the registration — happens inside the ASD.)  The
+        // link then seeds the notifier, which carries the stats events.
+        let mut notifier_links = Vec::new();
         if let Some(logger) = &config.logger {
             let mut client = ServiceClient::connect(net, &config.host, logger.clone(), &identity)
                 .map_err(|error| SpawnError::Register {
@@ -372,6 +379,7 @@ impl Daemon {
                     step: "logger",
                     error,
                 })?;
+            notifier_links.push(client);
         }
 
         // Full vocabulary: service commands inheriting the built-ins.
@@ -410,6 +418,7 @@ impl Daemon {
                     config.host.clone(),
                     Arc::clone(&identity),
                     Arc::clone(&metrics),
+                    notifier_links,
                 );
                 let mut threads = Vec::with_capacity(4);
 
@@ -518,16 +527,15 @@ impl Daemon {
                         std::thread::Builder::new()
                             .name(format!("{}-main", config.name))
                             .spawn(move || {
-                                lease_loop(
+                                let lease = LeaseState::new(
                                     net,
                                     config2,
                                     identity,
-                                    stop,
-                                    crashed,
-                                    deregister,
-                                    metrics,
+                                    &metrics,
                                     retry_budget,
-                                )
+                                    asd_link,
+                                );
+                                lease_loop(lease, stop, crashed, deregister)
                             })
                             .expect("spawn main thread"),
                     );
@@ -553,6 +561,7 @@ impl Daemon {
                     config.host.clone(),
                     Arc::clone(&identity),
                     Arc::clone(&metrics),
+                    notifier_links,
                 );
                 let mut ctx = ServiceCtx::new(
                     net.clone(),
@@ -585,6 +594,7 @@ impl Daemon {
                     Arc::clone(&identity),
                     &metrics,
                     Arc::clone(&retry_budget),
+                    asd_link,
                 );
                 let now = Instant::now();
                 let task = DaemonTask {
@@ -1216,7 +1226,7 @@ impl RuntimeTask for DaemonTask {
             self.behavior.on_stats(&mut self.ctx);
             self.ctx.push_stats_event();
         }
-        self.lease.tick();
+        self.lease.tick(Some(cx.waker()));
 
         if more {
             return TaskPoll::Again;
@@ -2228,6 +2238,10 @@ fn register_cmd(config: &DaemonConfig) -> CmdLine {
 /// The ASD lease client (§2.4): periodic renewal, lapsed-lease
 /// re-registration, and the graceful-stop deregistration sequence.  Shared
 /// by the thread-per-daemon `lease_loop` and the cooperative `DaemonTask`.
+///
+/// Renewal never waits on the ASD: `tick` sends the request and a later
+/// `tick` reads the reply, so a daemon task never holds a runtime worker
+/// while the ASD — often a task on the same pool — answers.
 struct LeaseState {
     net: SimNet,
     config: DaemonConfig,
@@ -2243,16 +2257,29 @@ struct LeaseState {
     reconnect: RetryPolicy,
     link_failures: u32,
     client: Option<ServiceClient>,
+    /// The request on `client` whose reply is still owed, and when that
+    /// reply counts as timed out.
+    in_flight: Option<(LeaseCall, Instant)>,
     next_renew: Instant,
 }
 
+/// Which lease request a reply answers.
+#[derive(Debug, Clone, Copy)]
+enum LeaseCall {
+    Renew,
+    Register,
+}
+
 impl LeaseState {
+    /// `client` is an already-connected ASD link to renew over (the spawn
+    /// path's registration link), so the first renewal needs no connect.
     fn new(
         net: SimNet,
         config: DaemonConfig,
         identity: Arc<KeyPair>,
         metrics: &MetricsRegistry,
         retry_budget: Arc<RetryBudget>,
+        client: Option<ServiceClient>,
     ) -> LeaseState {
         let reconnect = RetryPolicy::new(config.lease_renew / 4)
             .with_cap(config.lease_renew)
@@ -2267,7 +2294,8 @@ impl LeaseState {
             next_renew: Instant::now() + config.lease_renew,
             reconnect,
             link_failures: 0,
-            client: None,
+            client,
+            in_flight: None,
             net,
             config,
             identity,
@@ -2275,18 +2303,26 @@ impl LeaseState {
         }
     }
 
-    /// When `tick` next has renewal work, if this daemon holds a lease.
+    /// When `tick` next has work — an owed reply's timeout or the next
+    /// renewal — if this daemon holds a lease.
     fn next_deadline(&self) -> Option<Instant> {
-        self.config.asd.as_ref().map(|_| self.next_renew)
+        self.config.asd.as_ref()?;
+        Some(match self.in_flight {
+            Some((_, timeout)) => timeout,
+            None => self.next_renew,
+        })
     }
 
-    /// Renew the lease if due.  Bounded work: at most one connect and one
-    /// call per invocation.
-    fn tick(&mut self) {
+    /// Collect an owed reply, then send a renewal if one is due.  `waker`
+    /// (the daemon task's) is woken when the reply lands; the threaded
+    /// `lease_loop` passes `None` and simply ticks again.  Bounded work:
+    /// at most one connect and one send per invocation.
+    fn tick(&mut self, waker: Option<&Waker>) {
         let Some(asd) = self.config.asd.clone() else {
             return;
         };
-        if Instant::now() < self.next_renew {
+        self.collect();
+        if self.in_flight.is_some() || Instant::now() < self.next_renew {
             return;
         }
         self.next_renew = Instant::now() + self.config.lease_renew;
@@ -2297,30 +2333,15 @@ impl LeaseState {
             self.client =
                 ServiceClient::connect(&self.net, &self.config.host, asd, &self.identity).ok();
         }
-        match self.client.as_mut() {
+        match &self.client {
             Some(c) => {
+                if let Some(waker) = waker {
+                    c.register_waker(waker);
+                }
                 let renew = CmdLine::new("renewLease")
                     .arg("name", self.config.name.as_str())
                     .arg("incarnation", self.config.incarnation);
-                match c.call_ok(&renew) {
-                    Ok(()) => {
-                        self.renewals.incr();
-                        self.link_failures = 0;
-                    }
-                    Err(ClientError::Service {
-                        code: ErrorCode::NotFound,
-                        ..
-                    }) => {
-                        // Lease lapsed (e.g. an ASD restart): re-register.
-                        self.reregisters.incr();
-                        let _ = c.call_ok(&register_cmd(&self.config));
-                    }
-                    Err(_) => {
-                        self.failures.incr();
-                        self.client = None;
-                        self.schedule_retry();
-                    }
-                }
+                self.start(LeaseCall::Renew, &renew);
             }
             None => {
                 // Connect itself failed (ASD down or unreachable).
@@ -2328,6 +2349,61 @@ impl LeaseState {
                 self.schedule_retry();
             }
         }
+    }
+
+    fn start(&mut self, call: LeaseCall, cmd: &CmdLine) {
+        let Some(c) = self.client.as_mut() else {
+            return;
+        };
+        match c.send(cmd) {
+            Ok(()) => self.in_flight = Some((call, Instant::now() + c.timeout())),
+            Err(_) => self.link_failed(),
+        }
+    }
+
+    /// Read the owed reply if it has arrived (or time it out) and act on it.
+    fn collect(&mut self) {
+        let (Some((call, timeout)), Some(c)) = (self.in_flight, self.client.as_mut()) else {
+            return;
+        };
+        let reply = match c.try_recv() {
+            Ok(Some(_)) => Ok(()),
+            Ok(None) if Instant::now() < timeout => return,
+            Ok(None) => Err(ClientError::Link(LinkError::Net(NetError::Timeout))),
+            Err(e) => Err(e),
+        };
+        self.in_flight = None;
+        match (call, reply) {
+            (LeaseCall::Renew, Ok(())) => {
+                self.renewals.incr();
+                self.link_failures = 0;
+            }
+            (
+                LeaseCall::Renew,
+                Err(ClientError::Service {
+                    code: ErrorCode::NotFound,
+                    ..
+                }),
+            ) => {
+                // Lease lapsed (e.g. an ASD restart): re-register.
+                self.reregisters.incr();
+                let register = register_cmd(&self.config);
+                self.start(LeaseCall::Register, &register);
+            }
+            // The registration's verdict is not ours to act on: the next
+            // renewal tells whether it took.
+            (LeaseCall::Register, Ok(()) | Err(ClientError::Service { .. })) => {}
+            // A refused renewal, a dead link, or a reply that never came
+            // (the link may still deliver it later, so it is unusable).
+            (_, Err(_)) => self.link_failed(),
+        }
+    }
+
+    fn link_failed(&mut self) {
+        self.failures.incr();
+        self.client = None;
+        self.in_flight = None;
+        self.schedule_retry();
     }
 
     /// An early (before the next full period) retry must be paid for out
@@ -2394,18 +2470,12 @@ impl LeaseState {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn lease_loop(
-    net: SimNet,
-    config: DaemonConfig,
-    identity: Arc<KeyPair>,
+    mut lease: LeaseState,
     stop: Arc<AtomicBool>,
     crashed: Arc<AtomicBool>,
     deregister: Arc<AtomicBool>,
-    metrics: Arc<MetricsRegistry>,
-    retry_budget: Arc<RetryBudget>,
 ) {
-    let mut lease = LeaseState::new(net, config, identity, &metrics, retry_budget);
     if lease.config.asd.is_none() {
         // Nothing to renew and nothing to say goodbye to; just wait for
         // shutdown.
@@ -2416,7 +2486,7 @@ fn lease_loop(
     }
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(10));
-        lease.tick();
+        lease.tick(None);
     }
     lease.goodbye(
         crashed.load(Ordering::SeqCst),

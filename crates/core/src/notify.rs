@@ -9,20 +9,21 @@
 //! delivery worker that invokes the registered command interface on the
 //! notified services without blocking the daemon's control thread.
 
-use crate::client::ServiceClient;
+use crate::client::{ClientError, ServiceClient};
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use crate::runtime::{RuntimeTask, TaskContext, TaskPoll};
 use ace_lang::{CmdLine, DEADLINE_ARG};
 use ace_net::{Addr, HostId, SimNet, WakeCell};
 use ace_security::keys::KeyPair;
 use crossbeam_channel::{Receiver, Sender, TryRecvError, TrySendError};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::time::{Duration, Instant};
 
-/// Per-call reply timeout for notification delivery.  Deliberately far
-/// below the command plane's 30s reply timeout: a slow listener delays the
-/// rest of the queue by at most this much.
+/// Reply timeout for notification delivery: a link that owes replies and
+/// returns none for this long is dead, and what it owes is dropped.
+/// Deliberately far below the command plane's 30s reply timeout.
 const NOTIFY_CALL_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Outbound queue bound.  A producer that outruns delivery (an event storm,
@@ -148,11 +149,11 @@ pub struct Outbound {
 /// never blocks on a slow or dead listener.
 pub struct Notifier {
     /// `Option` so `Drop` can release the sender *before* waking the
-    /// cooperative delivery task — otherwise the task would observe a
+    /// delivery worker — otherwise the worker would observe a
     /// still-connected channel and miss the disconnect.
     tx: Option<Sender<Outbound>>,
     shed: Arc<Counter>,
-    wake: Option<Arc<WakeCell>>,
+    wake: Arc<WakeCell>,
 }
 
 /// Handle used to join the worker on shutdown.
@@ -163,27 +164,21 @@ pub struct NotifierWorker {
 impl Notifier {
     /// Spawn the delivery worker on its own thread.  Delivery outcomes are
     /// recorded in `metrics` (`notify.delivered`, `notify.drops`,
-    /// `notify.shed`, `notify.latency`, `notify.queueDepth`).
+    /// `notify.shed`, `notify.latency`, `notify.queueDepth`).  `links` are
+    /// already-connected clients that seed the per-target link cache.
     pub fn spawn(
         net: SimNet,
         from_host: HostId,
         identity: Arc<KeyPair>,
         metrics: Arc<MetricsRegistry>,
+        links: Vec<ServiceClient>,
     ) -> (Notifier, NotifierWorker) {
-        let (tx, rx) = crossbeam_channel::bounded::<Outbound>(NOTIFY_QUEUE_CAPACITY);
-        let shed = metrics.counter("notify.shed");
+        let (notifier, mut task) = Notifier::cooperative(net, from_host, identity, metrics, links);
         let join = std::thread::Builder::new()
-            .name(format!("notifier-{from_host}"))
-            .spawn(move || deliver_loop(rx, net, from_host, identity, metrics))
+            .name(format!("notifier-{}", task.state.from_host))
+            .spawn(move || task.run_on_thread())
             .expect("spawn notifier thread");
-        (
-            Notifier {
-                tx: Some(tx),
-                shed,
-                wake: None,
-            },
-            NotifierWorker { join },
-        )
+        (notifier, NotifierWorker { join })
     }
 
     /// Build a cooperative delivery worker for the shared runtime: same
@@ -195,23 +190,28 @@ impl Notifier {
         from_host: HostId,
         identity: Arc<KeyPair>,
         metrics: Arc<MetricsRegistry>,
+        links: Vec<ServiceClient>,
     ) -> (Notifier, NotifierTask) {
         let (tx, rx) = crossbeam_channel::bounded::<Outbound>(NOTIFY_QUEUE_CAPACITY);
         let shed = metrics.counter("notify.shed");
         let wake = Arc::new(WakeCell::new());
+        let mut state = DeliveryState::new(&metrics, net, from_host, identity);
+        for mut client in links {
+            client.set_timeout(NOTIFY_CALL_TIMEOUT);
+            state
+                .targets
+                .insert(client.target().clone(), Target::new(client));
+        }
         let task = NotifierTask {
             rx,
             wake: Arc::clone(&wake),
-            state: DeliveryState::new(&metrics),
-            net,
-            from_host,
-            identity,
+            state,
         };
         (
             Notifier {
                 tx: Some(tx),
                 shed,
-                wake: Some(wake),
+                wake,
             },
             task,
         )
@@ -224,9 +224,7 @@ impl Notifier {
         let Some(tx) = &self.tx else { return false };
         match tx.try_send(Outbound { addr, cmd }) {
             Ok(()) => {
-                if let Some(wake) = &self.wake {
-                    wake.wake();
-                }
+                self.wake.wake();
                 true
             }
             Err(TrySendError::Full(_)) => {
@@ -243,7 +241,7 @@ impl Clone for Notifier {
         Notifier {
             tx: self.tx.clone(),
             shed: Arc::clone(&self.shed),
-            wake: self.wake.clone(),
+            wake: Arc::clone(&self.wake),
         }
     }
 }
@@ -251,12 +249,10 @@ impl Clone for Notifier {
 impl Drop for Notifier {
     fn drop(&mut self) {
         // Release our sender first, then wake: when this was the last
-        // clone, the cooperative task's next poll observes the disconnect
-        // and completes.
+        // clone, the worker's next pass observes the disconnect and
+        // completes once its owed replies are in.
         self.tx.take();
-        if let Some(wake) = &self.wake {
-            wake.wake();
-        }
+        self.wake.wake();
     }
 }
 
@@ -268,147 +264,476 @@ impl NotifierWorker {
     }
 }
 
-/// Per-poll delivery cap for the cooperative worker: after this many
-/// messages the task yields (`TaskPoll::Again`) so one storming daemon's
-/// notifications cannot monopolize a shared-runtime worker.
+/// Per-pass send cap: after this many messages the worker yields
+/// (`TaskPoll::Again`) so one storming daemon's notifications cannot
+/// monopolize a shared-runtime worker.
 const NOTIFY_BATCH: usize = 64;
 
-/// The delivery machinery shared by the threaded `deliver_loop` and the
-/// cooperative [`NotifierTask`]: connection cache, dead-listener negative
-/// cache, and delivery metrics.
+/// A sent message whose reply has not been read yet.
+struct Owed {
+    cmd: CmdLine,
+    /// When delivery began (the `notify.latency` origin).
+    started: Instant,
+    /// Already re-sent once after a link failure; a second failure drops
+    /// it.
+    retried: bool,
+}
+
+/// One listener's cached link and the replies it owes, oldest first.
+/// Replies arrive in send order: the listener's session runs one command
+/// at a time, in arrival order.
+struct Target {
+    client: ServiceClient,
+    owed: VecDeque<Owed>,
+    /// Last time the link made progress (a send into an idle pipeline, or a
+    /// reply).  The link is dead once [`NOTIFY_CALL_TIMEOUT`] passes with
+    /// replies owed and none arriving.
+    progress: Instant,
+}
+
+impl Target {
+    fn new(client: ServiceClient) -> Target {
+        Target {
+            client,
+            owed: VecDeque::new(),
+            progress: Instant::now(),
+        }
+    }
+}
+
+/// The delivery machinery: pipelined sends over per-target cached links,
+/// reply collection, the dead-listener negative cache, and delivery
+/// metrics.  Nothing here waits on a listener except a first connect.
 struct DeliveryState {
     delivered: Arc<Counter>,
     drops: Arc<Counter>,
     latency: Arc<Histogram>,
     depth: Arc<Gauge>,
-    clients: HashMap<Addr, ServiceClient>,
+    targets: HashMap<Addr, Target>,
     // Negative cache of recently unreachable listeners.  Without it, a dead
     // subscriber makes every queued message behind it re-pay the failed
     // connect (and under partitions, the full call timeout) — head-of-line
     // blocking that stalls fan-out to the healthy subscribers.
     dead: HashMap<Addr, Instant>,
+    net: SimNet,
+    from_host: HostId,
+    identity: Arc<KeyPair>,
 }
 
 impl DeliveryState {
-    fn new(metrics: &MetricsRegistry) -> Self {
+    fn new(
+        metrics: &MetricsRegistry,
+        net: SimNet,
+        from_host: HostId,
+        identity: Arc<KeyPair>,
+    ) -> Self {
         DeliveryState {
             delivered: metrics.counter("notify.delivered"),
             drops: metrics.counter("notify.drops"),
             latency: metrics.histogram("notify.latency"),
             depth: metrics.gauge("notify.queueDepth"),
-            clients: HashMap::new(),
+            targets: HashMap::new(),
             dead: HashMap::new(),
+            net,
+            from_host,
+            identity,
         }
     }
 
-    fn handle(&mut self, out: Outbound, net: &SimNet, from_host: &HostId, identity: &KeyPair) {
-        if let Some(since) = self.dead.get(&out.addr) {
+    /// Messages sent whose replies are still owed.
+    fn in_flight(&self) -> usize {
+        self.targets.values().map(|t| t.owed.len()).sum()
+    }
+
+    /// When the oldest owed reply times out, if any is owed.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.targets
+            .values()
+            .filter(|t| !t.owed.is_empty())
+            .map(|t| t.progress + NOTIFY_CALL_TIMEOUT)
+            .min()
+    }
+
+    /// Begin delivering one message: send it on its target's link.
+    fn start(&mut self, out: Outbound, waker: &Waker) {
+        let owed = Owed {
+            cmd: out.cmd,
+            started: Instant::now(),
+            retried: false,
+        };
+        self.transmit(out.addr, owed, waker);
+    }
+
+    fn transmit(&mut self, addr: Addr, owed: Owed, waker: &Waker) {
+        if let Some(since) = self.dead.get(&addr) {
             if since.elapsed() < DEAD_BACKOFF {
                 self.drops.incr();
                 return;
             }
-            self.dead.remove(&out.addr);
+            self.dead.remove(&addr);
         }
-        let started = Instant::now();
-        if deliver_one(&mut self.clients, net, from_host, identity, &out) {
-            self.delivered.incr();
-            self.latency.record(started.elapsed());
-        } else {
-            // The drop is counted, never silent: `aceStats` and the periodic
-            // stats events expose `notify.drops` on the originating daemon.
-            self.drops.incr();
-            self.dead.insert(out.addr.clone(), Instant::now());
+        if !self.targets.contains_key(&addr) {
+            match ServiceClient::connect(&self.net, &self.from_host, addr.clone(), &self.identity) {
+                Ok(mut client) => {
+                    client.set_timeout(NOTIFY_CALL_TIMEOUT);
+                    self.targets.insert(addr.clone(), Target::new(client));
+                }
+                Err(_) => {
+                    // A dead listener loses its notification (the paper's
+                    // registry similarly cannot promise delivery to
+                    // crashed services).
+                    self.give_up(addr, 1);
+                    return;
+                }
+            }
         }
+        let target = self.targets.get_mut(&addr).expect("target just linked");
+        target.client.register_waker(waker);
+        let sent = target.client.send(&owed.cmd);
+        if target.owed.is_empty() {
+            target.progress = Instant::now();
+        }
+        target.owed.push_back(owed);
+        if sent.is_err() {
+            self.link_failed(&addr, waker);
+        }
+    }
+
+    /// Read every reply that has arrived; time out links that stopped
+    /// answering.
+    fn collect(&mut self, waker: &Waker) {
+        let now = Instant::now();
+        let mut failed = Vec::new();
+        let mut late = Vec::new();
+        for (addr, target) in self.targets.iter_mut() {
+            while !target.owed.is_empty() {
+                match target.client.try_recv() {
+                    // A declining listener (`error …;`) still received it.
+                    Ok(Some(_)) | Err(ClientError::Service { .. }) => {
+                        let owed = target.owed.pop_front().expect("owed reply");
+                        self.delivered.incr();
+                        self.latency.record(owed.started.elapsed());
+                        target.progress = now;
+                    }
+                    Ok(None) => {
+                        if now.duration_since(target.progress) >= NOTIFY_CALL_TIMEOUT {
+                            late.push(addr.clone());
+                        }
+                        break;
+                    }
+                    Err(ClientError::Link(_)) => {
+                        failed.push(addr.clone());
+                        break;
+                    }
+                }
+            }
+        }
+        for addr in late {
+            let owed = self.targets.remove(&addr).map_or(0, |t| t.owed.len());
+            self.give_up(addr, owed);
+        }
+        for addr in failed {
+            self.link_failed(&addr, waker);
+        }
+    }
+
+    /// The link to `addr` died: drop it and re-send what it still owed once
+    /// on a fresh link, in order.  Messages already re-sent are dropped.
+    fn link_failed(&mut self, addr: &Addr, waker: &Waker) {
+        let Some(target) = self.targets.remove(addr) else {
+            return;
+        };
+        for mut owed in target.owed {
+            if owed.retried {
+                self.give_up(addr.clone(), 1);
+            } else {
+                owed.retried = true;
+                self.transmit(addr.clone(), owed, waker);
+            }
+        }
+    }
+
+    /// Count `n` undeliverable messages and put `addr` in the dead cache.
+    /// The drop is counted, never silent: `aceStats` and the periodic stats
+    /// events expose `notify.drops` on the originating daemon.
+    fn give_up(&mut self, addr: Addr, n: usize) {
+        self.drops.add(n as u64);
+        self.dead.insert(addr, Instant::now());
     }
 }
 
-/// Cooperative delivery worker for the shared runtime; see
-/// [`Notifier::cooperative`].
+/// The delivery worker; see [`Notifier::cooperative`].  Spawned as a task
+/// on the shared runtime, or run on its own thread by [`Notifier::spawn`].
 pub struct NotifierTask {
     rx: Receiver<Outbound>,
     wake: Arc<WakeCell>,
     state: DeliveryState,
-    net: SimNet,
-    from_host: HostId,
-    identity: Arc<KeyPair>,
+}
+
+impl NotifierTask {
+    /// One pass: collect arrived replies, then send queued messages.
+    /// `Pending` carries the next reply timeout to wake for.
+    fn pump(&mut self, waker: &Waker) -> (TaskPoll, Option<Instant>) {
+        // Register before draining: a send that lands between the last
+        // `try_recv` and the return would otherwise be a lost wakeup.
+        self.wake.register(waker);
+        self.state.collect(waker);
+        let mut sent = 0usize;
+        // Owed replies are bounded like the queue: past that, leave
+        // messages queued so producers shed instead of memory growing.
+        while self.state.in_flight() < NOTIFY_QUEUE_CAPACITY {
+            match self.rx.try_recv() {
+                Ok(out) => {
+                    self.state.depth.set(self.rx.len() as i64);
+                    self.state.start(out, waker);
+                    sent += 1;
+                    if sent >= NOTIFY_BATCH {
+                        return (TaskPoll::Again, None);
+                    }
+                }
+                Err(TryRecvError::Empty) => break,
+                // Every sender is gone: finish once the owed replies are in
+                // (dropping a link with replies owed would lose messages
+                // the listener has not read yet).
+                Err(TryRecvError::Disconnected) if self.state.in_flight() == 0 => {
+                    return (TaskPoll::Complete, None);
+                }
+                Err(TryRecvError::Disconnected) => break,
+            }
+        }
+        (TaskPoll::Pending, self.state.next_deadline())
+    }
+
+    /// The thread-per-daemon worker: the same passes, parking the thread
+    /// between them.
+    fn run_on_thread(&mut self) {
+        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+        loop {
+            match self.pump(&waker) {
+                (TaskPoll::Complete, _) => return,
+                (TaskPoll::Again, _) => {}
+                (TaskPoll::Pending, Some(at)) => {
+                    std::thread::park_timeout(at.saturating_duration_since(Instant::now()))
+                }
+                (TaskPoll::Pending, None) => std::thread::park(),
+            }
+        }
+    }
 }
 
 impl RuntimeTask for NotifierTask {
     fn poll(&mut self, cx: &mut TaskContext<'_>) -> TaskPoll {
-        // Register before draining: a send that lands between the last
-        // `try_recv` and the return would otherwise be a lost wakeup.
-        self.wake.register(cx.waker());
-        let mut handled = 0usize;
-        loop {
-            match self.rx.try_recv() {
-                Ok(out) => {
-                    self.state.depth.set(self.rx.len() as i64);
-                    self.state
-                        .handle(out, &self.net, &self.from_host, &self.identity);
-                    handled += 1;
-                    if handled >= NOTIFY_BATCH {
-                        return TaskPoll::Again;
-                    }
-                }
-                Err(TryRecvError::Empty) => return TaskPoll::Pending,
-                Err(TryRecvError::Disconnected) => return TaskPoll::Complete,
-            }
+        let (poll, timeout) = self.pump(cx.waker());
+        if let Some(at) = timeout {
+            cx.set_timer(at);
         }
+        poll
     }
 }
 
-fn deliver_loop(
-    rx: Receiver<Outbound>,
-    net: SimNet,
-    from_host: HostId,
-    identity: Arc<KeyPair>,
-    metrics: Arc<MetricsRegistry>,
-) {
-    let mut state = DeliveryState::new(&metrics);
-    while let Ok(out) = rx.recv() {
-        state.depth.set(rx.len() as i64);
-        state.handle(out, &net, &from_host, &identity);
-    }
-}
+/// Wakes a thread parked in [`NotifierTask::run_on_thread`].
+struct Unpark(std::thread::Thread);
 
-fn deliver_one(
-    clients: &mut HashMap<Addr, ServiceClient>,
-    net: &SimNet,
-    from_host: &HostId,
-    identity: &KeyPair,
-    out: &Outbound,
-) -> bool {
-    // Try a cached connection first; on failure reconnect once.  Delivery is
-    // best-effort: a dead listener loses its notification (the paper's
-    // registry similarly cannot promise delivery to crashed services).
-    for attempt in 0..2 {
-        if !clients.contains_key(&out.addr) {
-            match ServiceClient::connect(net, from_host, out.addr.clone(), identity) {
-                Ok(mut c) => {
-                    c.set_timeout(NOTIFY_CALL_TIMEOUT);
-                    clients.insert(out.addr.clone(), c);
-                }
-                Err(_) => return false,
-            }
-        }
-        let client = clients.get_mut(&out.addr).expect("just inserted");
-        match client.call(&out.cmd) {
-            Ok(_) => return true,
-            Err(crate::client::ClientError::Service { .. }) => return true, // delivered, listener declined
-            Err(crate::client::ClientError::Link(_)) => {
-                clients.remove(&out.addr);
-                if attempt == 1 {
-                    return false;
-                }
-            }
-        }
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
     }
-    false
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.unpark();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::SecureLink;
+    use crate::runtime::{Runtime, RuntimeMode};
+    use ace_lang::Reply;
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn keypair() -> Arc<KeyPair> {
+        Arc::new(KeyPair::generate(&mut rand::thread_rng()))
+    }
+
+    fn note(seq: i64) -> CmdLine {
+        CmdLine::new("note").arg("seq", seq)
+    }
+
+    /// A hand-driven listener at `h:700`: `serve(i, link)` runs for the
+    /// `i`-th accepted link, one link at a time, on the accept thread.
+    /// Returns the address and the accept count.
+    fn listen(
+        net: &SimNet,
+        serve: impl Fn(usize, SecureLink) + Send + 'static,
+    ) -> (Addr, Arc<AtomicUsize>) {
+        let addr = Addr::new("h", 700);
+        let listener = net.listen(addr.clone()).unwrap();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            let identity = keypair();
+            while let Ok(conn) = listener.accept() {
+                let i = count.fetch_add(1, Ordering::SeqCst);
+                match SecureLink::accept(conn, &identity) {
+                    Ok(link) => serve(i, link),
+                    Err(_) => return,
+                }
+            }
+        });
+        (addr, accepted)
+    }
+
+    /// Answer every command `ok`, recording its `seq` into `seen`.
+    fn answer_all(link: &mut SecureLink, seen: &Mutex<Vec<i64>>) {
+        while let Ok(cmd) = link.recv_cmd(Duration::from_secs(10)) {
+            seen.lock().push(cmd.get_int("seq").unwrap_or(-1));
+            if link.send_cmd(&Reply::ok().to_cmdline()).is_err() {
+                return;
+            }
+        }
+    }
+
+    fn wait_for(counter: &Counter, n: u64) -> bool {
+        let end = Instant::now() + Duration::from_secs(10);
+        while counter.get() < n && Instant::now() < end {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        counter.get() >= n
+    }
+
+    #[test]
+    fn pipelined_delivery_keeps_fifo_order() {
+        for mode in [RuntimeMode::Shared, RuntimeMode::Threads] {
+            let net = SimNet::new();
+            net.add_host("h");
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&seen);
+            let (addr, accepted) = listen(&net, move |_, mut link| answer_all(&mut link, &log));
+            let metrics = Arc::new(MetricsRegistry::new());
+            let rt = Runtime::new(1);
+            let (notifier, worker) = match mode {
+                RuntimeMode::Shared => {
+                    let (notifier, task) = Notifier::cooperative(
+                        net.clone(),
+                        "h".into(),
+                        keypair(),
+                        Arc::clone(&metrics),
+                        Vec::new(),
+                    );
+                    rt.spawn(Box::new(task));
+                    (notifier, None)
+                }
+                RuntimeMode::Threads => {
+                    let (notifier, worker) = Notifier::spawn(
+                        net.clone(),
+                        "h".into(),
+                        keypair(),
+                        Arc::clone(&metrics),
+                        Vec::new(),
+                    );
+                    (notifier, Some(worker))
+                }
+            };
+            for seq in 0..200 {
+                assert!(notifier.send(addr.clone(), note(seq)));
+            }
+            let delivered = metrics.counter("notify.delivered");
+            assert!(wait_for(&delivered, 200), "{mode:?}: {}", delivered.get());
+            assert_eq!(*seen.lock(), (0..200).collect::<Vec<_>>(), "{mode:?}");
+            assert_eq!(metrics.counter("notify.drops").get(), 0, "{mode:?}");
+            assert_eq!(
+                accepted.load(Ordering::SeqCst),
+                1,
+                "{mode:?}: one cached link"
+            );
+            assert_eq!(metrics.histogram("notify.latency").snapshot().count, 200);
+            drop(notifier);
+            if let Some(worker) = worker {
+                worker.join();
+            }
+            rt.shutdown();
+        }
+    }
+
+    #[test]
+    fn silent_listener_times_out_into_drops_and_dead_cache() {
+        let net = SimNet::new();
+        net.add_host("h");
+        // Reads everything, answers nothing, and keeps the link open.
+        let (addr, accepted) = listen(&net, |_, mut link| {
+            while link.recv_cmd(Duration::from_secs(10)).is_ok() {}
+        });
+        let metrics = MetricsRegistry::new();
+        let mut state = DeliveryState::new(&metrics, net, "h".into(), keypair());
+        let waker = Waker::noop();
+        let began = Instant::now();
+        for seq in 0..3 {
+            state.start(
+                Outbound {
+                    addr: addr.clone(),
+                    cmd: note(seq),
+                },
+                waker,
+            );
+        }
+        assert_eq!(state.in_flight(), 3);
+        while state.drops.get() < 3 && began.elapsed() < Duration::from_secs(10) {
+            state.collect(waker);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(state.drops.get(), 3, "owed messages must become drops");
+        assert!(began.elapsed() >= NOTIFY_CALL_TIMEOUT, "timed out early");
+        assert_eq!(state.delivered.get(), 0);
+        assert_eq!(state.in_flight(), 0);
+        assert!(
+            state.dead.contains_key(&addr),
+            "listener not in the dead cache"
+        );
+        // Inside the backoff a new message is dropped without a connect.
+        state.start(Outbound { addr, cmd: note(3) }, waker);
+        assert_eq!(state.drops.get(), 4);
+        assert_eq!(accepted.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn link_killed_mid_flight_is_retried_once_on_a_fresh_link() {
+        let net = SimNet::new();
+        net.add_host("h");
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        // The first link reads one message and dies without answering; the
+        // second answers everything.
+        let (addr, accepted) = listen(&net, move |i, mut link| {
+            if i == 0 {
+                let _ = link.recv_cmd(Duration::from_secs(10));
+            } else {
+                answer_all(&mut link, &log);
+            }
+        });
+        let metrics = MetricsRegistry::new();
+        let mut state = DeliveryState::new(&metrics, net, "h".into(), keypair());
+        let waker = Waker::noop();
+        for seq in 0..5 {
+            state.start(
+                Outbound {
+                    addr: addr.clone(),
+                    cmd: note(seq),
+                },
+                waker,
+            );
+        }
+        let end = Instant::now() + Duration::from_secs(10);
+        while state.delivered.get() < 5 && Instant::now() < end {
+            state.collect(waker);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(state.delivered.get(), 5);
+        assert_eq!(state.drops.get(), 0);
+        assert_eq!(accepted.load(Ordering::SeqCst), 2, "one fresh link");
+        assert_eq!(*seen.lock(), vec![0, 1, 2, 3, 4], "re-sent in order");
+    }
 
     fn reg(service: &str, port: u16) -> Registration {
         Registration {

@@ -36,16 +36,28 @@
 //!
 //! ## Blocking tolerance (the starvation watchdog)
 //!
-//! Ported daemon code still contains *bounded* blocking sections —
-//! `ServiceCtx::call` to a peer daemon, handshake receives, WAL
-//! group-commit waits.  Rather than rewrite every client call site in
+//! A daemon's steady-state work does not block: lease renewal sends
+//! `renewLease` and reads the ASD's reply on a later poll, and the
+//! notifier pipelines its messages over cached links and collects their
+//! replies as they arrive.  A few *bounded* blocking sections remain —
+//! the server-side handshake of a new session, `ServiceCtx::call` from a
+//! behavior (the AuthDB credential fetch, directory lookups), the
+//! connect handshake to a new peer (a lease link after a failure, a
+//! notifier's first link to a listener), WAL group-commit waits, and the
+//! stop-time goodbye.  Rather than rewrite every such call site in
 //! continuation style, the runtime tolerates them: a watchdog thread
 //! samples worker state every few milliseconds; any poll exceeding
 //! [`LONG_POLL`] increments `runtime.longPolls` (how misbehaving tasks are
 //! detected), and when **all** workers are simultaneously stuck while work
 //! is queued, the watchdog injects an extra worker thread (up to
 //! [`MAX_WORKERS`]) so blocked call chains between co-scheduled daemons
-//! cannot deadlock the pool.  Injected workers retire after ~1s idle.
+//! cannot deadlock the pool.
+//!
+//! Injected capacity is scoped to the stall that created it: an injected
+//! worker retires, busy or idle, once the watchdog has seen no
+//! all-workers-stuck tick for `STALL_QUIET` (1 s).  A rule based on
+//! idleness would never fire, because the ready queue wakes parked workers
+//! in FIFO order and spreads steady load over every surplus thread.
 //!
 //! The previous thread-per-daemon runtime is retained behind the
 //! [`RuntimeMode`] knob (`ACE_RUNTIME=threads`) as the ablation baseline.
@@ -64,10 +76,12 @@ pub const LONG_POLL: Duration = Duration::from_millis(20);
 const WATCHDOG_TICK: Duration = Duration::from_millis(5);
 /// Hard cap on pool size including injected workers.
 pub const MAX_WORKERS: usize = 512;
-/// Park timeout for workers (also the injected-worker idle quantum).
+/// Park timeout for workers: an idle worker wakes this often to check
+/// for shutdown and retirement.
 const PARK_TIMEOUT: Duration = Duration::from_millis(50);
-/// Injected workers retire after this many consecutive idle parks.
-const INJECTED_IDLE_STRIKES: u32 = 20;
+/// Injected workers retire once the watchdog has seen no all-workers-stuck
+/// tick for this long.
+const STALL_QUIET: Duration = Duration::from_secs(1);
 
 /// Which daemon runtime `Daemon::spawn` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,8 +144,9 @@ impl TaskContext<'_> {
 /// One cooperatively scheduled unit (a whole daemon, a notifier, …).
 pub trait RuntimeTask: Send {
     /// Make progress.  Must not block unboundedly; bounded blocking is
-    /// tolerated (watchdog injects capacity) but counted against
-    /// `runtime.longPolls` beyond [`LONG_POLL`].
+    /// tolerated (the watchdog injects capacity for the length of a
+    /// stall) but counted against `runtime.longPolls` beyond
+    /// [`LONG_POLL`].
     fn poll(&mut self, cx: &mut TaskContext<'_>) -> TaskPoll;
 }
 
@@ -298,9 +313,12 @@ struct WorkerSlot {
 struct RtStats {
     polls: AtomicU64,
     timer_fires: AtomicU64,
+    /// Idle [`PARK_TIMEOUT`]s: a worker waited that long and found no
+    /// task.  Waits that end in a task are not counted.
     worker_parks: AtomicU64,
     long_polls: AtomicU64,
     workers_injected: AtomicU64,
+    workers_retired: AtomicU64,
 }
 
 struct RuntimeInner {
@@ -309,6 +327,9 @@ struct RuntimeInner {
     epoch: Instant,
     base_workers: usize,
     workers_live: AtomicUsize,
+    /// Nanoseconds since `epoch` of the watchdog's last all-workers-stuck
+    /// tick.
+    last_stall_ns: AtomicU64,
     slots: Mutex<Vec<Arc<WorkerSlot>>>,
     timers: Mutex<BinaryHeap<TimerEntry>>,
     timer_cv: Condvar,
@@ -398,26 +419,24 @@ impl RuntimeInner {
     }
 
     fn worker_loop(self: Arc<Self>, slot: Arc<WorkerSlot>) {
-        let mut idle_strikes = 0u32;
         loop {
             if self.shutdown.load(Ordering::Relaxed) {
                 break;
             }
             match self.ready_rx.recv_timeout(PARK_TIMEOUT) {
-                Ok(core) => {
-                    idle_strikes = 0;
-                    self.run_task(core, &slot);
-                }
+                Ok(core) => self.run_task(core, &slot),
                 Err(RecvTimeoutError::Timeout) => {
                     self.stats.worker_parks.fetch_add(1, Ordering::Relaxed);
-                    if slot.injected {
-                        idle_strikes += 1;
-                        if idle_strikes >= INJECTED_IDLE_STRIKES {
-                            break;
-                        }
-                    }
                 }
                 Err(RecvTimeoutError::Disconnected) => break,
+            }
+            // Retire as soon as the stall that created this worker is
+            // over, busy or not: the ready queue wakes parked workers in
+            // FIFO order, so under steady load a surplus worker never
+            // idles long enough for an idle rule to retire it.
+            if slot.injected && self.stall_over() {
+                self.stats.workers_retired.fetch_add(1, Ordering::Relaxed);
+                break;
             }
         }
         self.workers_live.fetch_sub(1, Ordering::Relaxed);
@@ -425,6 +444,13 @@ impl RuntimeInner {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .retain(|s| !Arc::ptr_eq(s, &slot));
+    }
+
+    fn stall_over(&self) -> bool {
+        let since = self
+            .elapsed_ns()
+            .saturating_sub(self.last_stall_ns.load(Ordering::Relaxed));
+        since >= STALL_QUIET.as_nanos() as u64
     }
 
     fn spawn_worker(self: &Arc<Self>, injected: bool) {
@@ -522,6 +548,9 @@ impl RuntimeInner {
                     all_stuck = false;
                 }
             }
+            if all_stuck {
+                self.last_stall_ns.store(now_ns, Ordering::Relaxed);
+            }
             // Every worker is wedged in a long poll while runnable tasks
             // wait: inject capacity so blocked daemon-to-daemon call
             // chains cannot deadlock the pool.
@@ -554,6 +583,7 @@ impl Runtime {
             epoch: Instant::now(),
             base_workers: workers,
             workers_live: AtomicUsize::new(0),
+            last_stall_ns: AtomicU64::new(0),
             slots: Mutex::new(Vec::new()),
             timers: Mutex::new(BinaryHeap::new()),
             timer_cv: Condvar::new(),
@@ -641,7 +671,9 @@ impl Runtime {
     }
 
     /// Publish the `runtime.*` gauge family into `registry` (surfaced by
-    /// every shared-mode daemon's `aceStats`).
+    /// every shared-mode daemon's `aceStats`).  All but `tasksLive`,
+    /// `readyQueue` and `workers` are running totals; `workerParks` counts
+    /// idle 50 ms park timeouts, not every wait for work.
     pub fn publish_into(&self, registry: &MetricsRegistry) {
         let s = &self.inner.stats;
         registry
@@ -668,6 +700,9 @@ impl Runtime {
         registry
             .gauge("runtime.workersInjected")
             .set(s.workers_injected.load(Ordering::Relaxed) as i64);
+        registry
+            .gauge("runtime.workersRetired")
+            .set(s.workers_retired.load(Ordering::Relaxed) as i64);
     }
 }
 
@@ -819,6 +854,39 @@ mod tests {
     }
 
     #[test]
+    fn injected_workers_retire_once_the_stall_is_over() {
+        let rt = Runtime::new(2);
+        // Two stallers wedge both base workers; the queued task behind them
+        // forces an injection.
+        let stallers: Vec<TaskHandle> = (0..2).map(|_| rt.spawn(Box::new(Staller))).collect();
+        let h = rt.spawn(Box::new(CountTo { n: 0, target: 1 }));
+        assert!(h.wait(Duration::from_secs(10)));
+        assert!(stallers.iter().all(|s| s.wait(Duration::from_secs(10))));
+        assert!(rt.workers_live() > rt.base_workers(), "no worker injected");
+        // A steady trickle of short tasks keeps every worker, injected ones
+        // included, from ever idling for long.
+        let end = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < end {
+            rt.spawn(Box::new(CountTo { n: 0, target: 1 }));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            rt.workers_live(),
+            rt.base_workers(),
+            "surplus workers stayed"
+        );
+        let reg = MetricsRegistry::new();
+        rt.publish_into(&reg);
+        let gauges = reg.snapshot().gauges;
+        assert!(gauges["runtime.workersInjected"] >= 1);
+        assert_eq!(
+            gauges["runtime.workersRetired"],
+            gauges["runtime.workersInjected"]
+        );
+        rt.shutdown();
+    }
+
+    #[test]
     fn publish_into_exposes_gauges() {
         let rt = Runtime::new(1);
         let h = rt.spawn(Box::new(CountTo { n: 0, target: 3 }));
@@ -831,6 +899,7 @@ mod tests {
         assert!(snap.gauges.contains_key("runtime.readyQueue"));
         assert!(snap.gauges.contains_key("runtime.timerFires"));
         assert!(snap.gauges.contains_key("runtime.workerParks"));
+        assert!(snap.gauges.contains_key("runtime.workersRetired"));
         assert!(snap.gauges["runtime.polls"] >= 3);
         rt.shutdown();
     }

@@ -155,6 +155,7 @@ fn ace_stats_roundtrip_runtime_gauges() {
         "runtime.workerParks",
         "runtime.longPolls",
         "runtime.workersInjected",
+        "runtime.workersRetired",
     ] {
         assert!(
             report.gauges.contains_key(key),
